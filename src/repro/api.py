@@ -1,15 +1,14 @@
 """``repro.api`` -- the supported programmatic surface for sweeps.
 
-Every paper table and figure is a sweep of independent cells, and the
-repo grew one entry point per flavour (``run_detection_sweep``,
-``run_wild_sweep``, ``simulate_tdiff``, ``run_table1_sweep``), each
-with its own keyword surface.  This module unifies them behind one
-request/result pair::
+Every paper table and figure is a sweep of independent cells: the
+detection grids of Section 6, the Table-1 wild tests and the T_diff
+replay pairs.  This module runs all of them behind one request/result
+pair::
 
     from repro.api import SweepRequest, run_sweep
 
     result = run_sweep(SweepRequest.detection(configs, jobs=4))
-    records = result.results          # same list the legacy call returned
+    records = result.results          # one record per config, in order
     result.hits, result.misses        # cache accounting (0 hits without a store)
 
     result = run_sweep(
@@ -41,9 +40,6 @@ Common options on every request:
   ``SIGTERM`` drain gracefully: in-flight cells finish, checkpoints
   flush, and the partial ``SweepResult`` comes back with
   ``interrupted=True``.
-
-The legacy entry points still work but emit ``DeprecationWarning`` and
-delegate here.
 """
 
 from dataclasses import dataclass, field

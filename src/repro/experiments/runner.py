@@ -64,18 +64,18 @@ class _Environment:
             limiter_rate_bps=config.limiter_rate_bps,
             queue_factor=config.queue_factor,
             noncommon_bandwidth_bps=config.noncommon_bandwidth_bps,
-            fidelity=getattr(config, "fidelity", "packet"),
-            shaper=getattr(config, "shaper", None),
-            shaper_params=tuple(getattr(config, "shaper_params", ())),
+            fidelity=config.fidelity,
+            shaper=config.shaper,
+            shaper_params=tuple(config.shaper_params),
             # Seeded mechanisms (RED/PIE draws) derive their device
             # seeds from the scenario seed, so a cell's shaper behaviour
             # depends only on the cell.
             shaper_seed=config.seed,
             # ECMP bundle knobs; the hash seed also derives from the
             # scenario seed, so member assignment is a cell property.
-            multipath_members=getattr(config, "multipath", 0) or 0,
-            flowlet_gap_s=getattr(config, "flowlet_gap_s", None),
-            multipath_shaped=getattr(config, "multipath_shaped", None),
+            multipath_members=config.multipath,
+            flowlet_gap_s=config.flowlet_gap_s,
+            multipath_shaped=config.multipath_shaped,
             multipath_seed=config.seed,
         )
         self.topology = FigureOneTopology(self.sim, topo_config)
@@ -83,7 +83,7 @@ class _Environment:
 
     def _attach_background(self):
         config = self.config
-        hybrid = getattr(config, "fidelity", "packet") == "hybrid"
+        hybrid = config.fidelity == "hybrid"
         stop = WARMUP + config.duration + DRAIN
         for which, rng_udp, rng_tcp in (
             (1, self.rngs[0], self.rngs[2]),
@@ -143,7 +143,7 @@ class _Environment:
             # statistics the simulator keeps anyway -- one harvest per
             # run, zero per-packet cost.
             harvest_topology(_obs.SINK, self.topology, elapsed)
-            if getattr(self.config, "fidelity", "packet") == "hybrid":
+            if self.config.fidelity == "hybrid":
                 harvest_fluid(_obs.SINK, self.topology)
 
     @property

@@ -94,11 +94,9 @@ class ScenarioConfig:
         if self.shaper_params and self.shaper is None:
             raise ValueError("shaper_params requires a shaper")
         if self.shaper is not None:
-            if self.limiter is None:
-                raise ValueError("shaper requires a limiter placement")
-            from repro.netsim.qdisc import qdisc_spec
+            from repro.netsim.qdisc import check_deployment
 
-            qdisc_spec(self.shaper)  # raises on unknown mechanisms
+            check_deployment(self.shaper, self.limiter, self.fidelity)
             object.__setattr__(
                 self,
                 "shaper_params",

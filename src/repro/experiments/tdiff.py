@@ -7,8 +7,6 @@ apart on an undifferentiated path with fresh background traffic, then
 feeding the pairs through the same t_diff formula.
 """
 
-import warnings
-
 import numpy as np
 
 from repro.experiments.runner import NetsimReplayService
@@ -102,42 +100,3 @@ def _tdiff_sweep(
     if not failures and not interrupted:
         values = np.asarray(values)
     return values, hits, misses, failures, interrupted
-
-
-def simulate_tdiff(
-    n_pairs=25, app="netflix", duration=15.0, base_seed=5000, jobs=1, store=None
-):
-    """Run ``n_pairs`` back-to-back replay pairs and return t_diff samples.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.run_sweep` with
-        :meth:`repro.api.SweepRequest.tdiff` instead.
-
-    Each pair replays the bit-inverted trace twice on a path without a
-    rate limiter; the two runs see different background traffic (the
-    second test happens minutes later), giving genuine normal
-    throughput variation.  Pairs are seeded independently, so
-    ``jobs > 1`` fans them out over cores without changing the samples.
-
-    ``store`` (a :class:`~repro.store.ExperimentStore`) caches each
-    pair's t_diff value under a ``kind="tdiff"`` key, so re-estimating
-    the distribution replays nothing.
-    """
-    warnings.warn(
-        "simulate_tdiff is deprecated; use "
-        "repro.api.run_sweep(SweepRequest.tdiff(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_sweep(
-        api.SweepRequest.tdiff(
-            n_pairs=n_pairs,
-            app=app,
-            duration=duration,
-            base_seed=base_seed,
-            jobs=jobs,
-            store=store,
-        )
-    ).results

@@ -299,45 +299,3 @@ def run_wild_test(
     from repro.wehe.traces import bit_invert
 
     return localizer.localize(service, original, bit_invert(original))
-
-
-def run_table1_sweep(
-    isp_names=None,
-    apps=("netflix",),
-    seeds=range(3),
-    jobs=None,
-    sanity_check=False,
-    store=None,
-):
-    """The Table-1 grid (ISPs x apps x seeds) on all cores.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.run_sweep` with
-        :meth:`repro.api.SweepRequest.wild` instead (it defaults to the
-        same grid).
-
-    Every cell seeds itself from ``(isp, seed)`` alone, so the sweep is
-    embarrassingly parallel; returns per-cell summary dicts in grid
-    order regardless of ``jobs``.  ``store`` caches and resumes cells
-    exactly as in :func:`repro.api.run_sweep`.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_table1_sweep is deprecated; use "
-        "repro.api.run_sweep(SweepRequest.wild(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_sweep(
-        api.SweepRequest.wild(
-            isp_names,
-            apps=apps,
-            seeds=list(seeds),
-            sanity_check=sanity_check,
-            jobs=jobs,
-            store=store,
-        )
-    ).results

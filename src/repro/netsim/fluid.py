@@ -13,30 +13,37 @@ rate-change ticks per second.
 
 Only foreground replay packets (and their ACKs) remain exact DES
 events.  Background load shows up as a **virtual load term** inside the
-queueing disciplines:
+queueing disciplines.  Each fluid discipline is a subclass of its
+packet discipline that adds only the virtual-backlog state and the
+methods the fluid changes; constructors, validation, statistics and
+scheduling stay the packet class's:
 
-- :class:`FluidDropTailQueue` -- a drop-tail FIFO whose serialization
-  capacity is shared with a fluid background aggregate.  Virtual
-  backlog ``V`` evolves in closed form between foreground events; a
-  foreground packet is dropped when real + virtual occupancy exceeds
-  the capacity, and the head-of-line packet waits until the virtual
-  bytes *ahead of it* (FIFO order, tracked by per-packet arrival marks)
-  have been served.
-- :class:`FluidTokenBucketFilter` -- a token bucket whose tokens are
-  continuously depleted by the marked (dscp=1) fluid share.  Token
-  depletion, virtual queue occupancy and the head-of-line wake time are
-  computed from the fluid rate between foreground events instead of
-  from simulated background packets.
+- :class:`_VirtualBacklog` -- the slotless mixin holding what every
+  fluid queue shares: the virtual backlog ``V``, per-source rate
+  bookkeeping, :meth:`~_VirtualBacklog.fluid_stats`, and the one
+  closed-form window integration.  Real and virtual bytes interleave in
+  FIFO order (per-packet arrival marks): a foreground packet is dropped
+  when real + virtual occupancy exceeds the capacity, and the
+  head-of-line packet waits until the virtual bytes *ahead of it* have
+  been served.
+- :class:`FluidDropTailQueue` (a :class:`DropTailQueue`) -- link
+  serialization capacity left over by real packets serves ``V``.
+- :class:`FluidTokenBucketFilter`, :class:`FluidDualTokenBucketFilter`,
+  :class:`FluidConditionalTokenBucket` (subclasses of the packet
+  buckets) -- tokens are continuously depleted by the marked (dscp=1)
+  fluid share; their shared enqueue/dequeue live in the slotless
+  :class:`_FluidBucket` mixin.
 - :class:`FluidDualClassQdisc` / :class:`FluidPerFlowQdisc` -- the
-  classful devices of Appendix C.1 and Section 7 assembled from the two
-  fluid parts.
+  classful devices of Appendix C.1 and Section 7; the per-flow twin
+  swaps only its FIFO for a fluid one.
 
 Fluid state advances lazily: every foreground interaction and every
-source rate-change tick calls ``_advance(now)``, which integrates the
-piecewise-constant arrival and service processes in closed form.  The
-integration applies each window's arrivals and service as bulk
-quantities, so ordering error within a window is bounded by the window
-length -- at most the finest modulation period (0.2 s by default).
+source rate-change tick calls ``_advance(now)``, which computes the
+window's service budget and integrates the piecewise-constant arrival
+and service processes in closed form.  The integration applies each
+window's arrivals and service as bulk quantities, so ordering error
+within a window is bounded by the window length -- at most the finest
+modulation period (0.2 s by default).
 
 Approximations (validated by the verdict-invariance gate in
 ``repro.perf`` and CI's fidelity-gate job):
@@ -67,9 +74,15 @@ from repro.netsim.background import (
     PACKET_SIZE_MIX,
     _Ar1Component,
 )
-from repro.netsim.qdisc import Qdisc, register, standard_sizing
+from repro.netsim.per_flow import PerFlowQdisc
+from repro.netsim.qdisc import QdiscFidelityError, register, standard_sizing
 from repro.netsim.queues import DropTailQueue
-from repro.netsim.token_bucket import DualClassQdisc, _dscp_classifier
+from repro.netsim.shapers import (
+    ConditionalTokenBucket,
+    DualTokenBucketFilter,
+    dual_tbf_sizing,
+)
+from repro.netsim.token_bucket import DualClassQdisc, TokenBucketFilter
 from repro.obs import metrics as _obs
 
 #: Wire bytes per payload byte for background TCP (MSS 1448 + 52 header).
@@ -90,68 +103,54 @@ _EPS_BYTES = 1e-6
 #: a link retry loop (same convention as TokenBucketFilter.dequeue).
 _WAKE_GUARD = 1e-9
 
+#: Fluid state each virtual-backlog qdisc adds to its packet base's slots.
+_BACKLOG_SLOTS = (
+    "_fluid_rates",
+    "_fluid_rate_Bps",
+    "_v",
+    "_marks",
+    "_bg_pos",
+    "bg_bytes_offered",
+    "bg_bytes_served",
+    "bg_bytes_dropped",
+    "fluid_deferrals",
+)
 
-class FluidDropTailQueue(DropTailQueue):
-    """A drop-tail FIFO sharing its serialization capacity with fluid.
 
-    The queue belongs to a link serving ``service_bps``; the link's
-    constructor wires that rate in through :meth:`set_service_rate`.
-    Real (foreground) packets and the virtual background interleave in
-    FIFO order: each real packet is stamped with the cumulative admitted
-    background byte count at its arrival, and it may only be transmitted
-    once the background bytes ahead of it have drained.
+class _VirtualBacklog:
+    """Slotless mixin: a fluid background aggregate as a virtual backlog.
+
+    Mixed in ahead of a packet qdisc, whose constructor, validation and
+    statistics it keeps; the concrete class declares
+    :data:`_BACKLOG_SLOTS` and an ``_advance(now)`` that computes each
+    window's service budget and hands it to :meth:`_integrate`.  Real
+    (foreground) packets and the virtual bytes interleave in FIFO order:
+    each queued real packet is stamped (``_marks``) with the cumulative
+    admitted background byte count at its arrival, and may only leave
+    once the background bytes ahead of it have been served.
     """
 
-    __slots__ = (
-        "service_bps",
-        "_fluid_rates",
-        "_fluid_rate_Bps",
-        "_last_fluid",
-        "_v",
-        "_marks",
-        "_bg_pos",
-        "bg_bytes_offered",
-        "bg_bytes_served",
-        "bg_bytes_dropped",
-        "_real_out",
-        "_real_out_mark",
-        "fluid_deferrals",
-    )
+    __slots__ = ()
 
-    def __init__(self, capacity_bytes=200_000, service_bps=None):
-        super().__init__(capacity_bytes)
-        self.service_bps = service_bps
-        self._fluid_rates = {}  # source -> bits/s entering this queue
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fluid_rates = {}  # source -> bits/s entering this qdisc
         self._fluid_rate_Bps = 0.0  # aggregate, bytes/s
-        self._last_fluid = 0.0
         self._v = 0.0  # virtual background backlog (bytes)
         self._marks = deque()  # admitted-bg position per queued packet
         self._bg_pos = 0.0  # cumulative admitted background bytes
         self.bg_bytes_offered = 0.0
         self.bg_bytes_served = 0.0
         self.bg_bytes_dropped = 0.0
-        self._real_out = 0.0  # cumulative real bytes dequeued
-        self._real_out_mark = 0.0
         self.fluid_deferrals = 0
 
-    # -- fluid plumbing ----------------------------------------------
-
-    def set_service_rate(self, bps):
-        """Called by the owning link: the serialization rate fluid shares."""
-        self.service_bps = bps
-
-    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
-        """Update one source's piecewise-constant rate through this queue.
-
-        A neutral link does not classify, so marked and unmarked shares
-        are folded into one aggregate.
-        """
+    def set_fluid_rate(self, now, source, bps):
+        """Update one source's piecewise-constant rate into this qdisc."""
         self._advance(now)
-        rate = marked_bps + unmarked_bps
         previous = self._fluid_rates.get(source, 0.0)
-        if rate != previous:
-            self._fluid_rates[source] = rate
-            self._fluid_rate_Bps += (rate - previous) / 8.0
+        if bps != previous:
+            self._fluid_rates[source] = bps
+            self._fluid_rate_Bps += (bps - previous) / 8.0
             if self._fluid_rate_Bps < 0.0:
                 self._fluid_rate_Bps = 0.0
 
@@ -169,14 +168,88 @@ class FluidDropTailQueue(DropTailQueue):
             "fluid_deferrals": self.fluid_deferrals,
         }
 
-    def _advance(self, now):
-        """Integrate the fluid between the last interaction and ``now``.
+    def _integrate(self, arrivals, service, real_bytes, capacity):
+        """Apply one window's fluid arrivals and service; return unused service.
 
-        Service capacity unused by real transmissions drains background
-        in FIFO order: only the virtual bytes *ahead of the real head*
-        (or the whole backlog when no real packet is queued) may be
-        served.  Arrivals behind a queued real packet never starve it.
+        ``service`` is the window's byte budget for background (the
+        link capacity real packets left unused, or a bucket's token
+        pool).  It drains background in FIFO order: only the virtual
+        bytes *ahead of the real head* (or the whole backlog when no
+        real packet is queued) may be served, so arrivals behind a
+        queued real packet never starve it.  Arrivals that would push
+        real + virtual occupancy past ``capacity`` are virtual drops.
         """
+        self.bg_bytes_offered += arrivals
+        v = self._v
+        if self._marks:
+            # Bytes ahead of the real head are servable; new arrivals
+            # queue behind every real packet already present.
+            servable = self._marks[0] - (self._bg_pos - v)
+            if servable > v:
+                servable = v
+            served = servable if servable < service else service
+            if served > 0.0:
+                v -= served
+                self.bg_bytes_served += served
+                service -= served
+            headroom = capacity - real_bytes - v
+            admitted = arrivals if arrivals < headroom else max(headroom, 0.0)
+            self._bg_pos += admitted
+            dropped = arrivals - admitted
+        else:
+            served = v if v < service else service
+            if served > 0.0:
+                v -= served
+                self.bg_bytes_served += served
+                service -= served
+            direct = arrivals if arrivals < service else service
+            service -= direct
+            remaining = arrivals - direct
+            headroom = capacity - v
+            admitted = remaining if remaining < headroom else max(headroom, 0.0)
+            self._bg_pos += direct + admitted
+            self.bg_bytes_served += direct
+            dropped = remaining - admitted
+        self._v = v + admitted
+        if dropped > 0.0:
+            self.bg_bytes_dropped += dropped
+            if _obs.ENABLED:
+                _obs.SINK.inc("netsim.fluid.virtual_drop_bytes", dropped)
+        return service
+
+
+class FluidDropTailQueue(_VirtualBacklog, DropTailQueue):
+    """A drop-tail FIFO sharing its serialization capacity with fluid.
+
+    The queue belongs to a link serving ``service_bps``; the link's
+    constructor wires that rate in through :meth:`set_service_rate`.
+    Each window, the capacity left over by real transmissions serves
+    the virtual backlog.
+    """
+
+    __slots__ = _BACKLOG_SLOTS + (
+        "service_bps",
+        "_last_fluid",
+        "_real_out",
+        "_real_out_mark",
+    )
+
+    def __init__(self, capacity_bytes=200_000, service_bps=None):
+        super().__init__(capacity_bytes)
+        self.service_bps = service_bps
+        self._last_fluid = 0.0
+        self._real_out = 0.0  # cumulative real bytes dequeued
+        self._real_out_mark = 0.0
+
+    def set_service_rate(self, bps):
+        """Called by the owning link: the serialization rate fluid shares."""
+        self.service_bps = bps
+
+    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
+        """A neutral link does not classify: both shares are one aggregate."""
+        self.set_fluid_rate(now, source, marked_bps + unmarked_bps)
+
+    def _advance(self, now):
         dt = now - self._last_fluid
         if dt <= 0.0:
             return
@@ -190,42 +263,7 @@ class FluidDropTailQueue(DropTailQueue):
         service = (self.service_bps / 8.0) * dt - real_out
         if service < 0.0:
             service = 0.0
-        self.bg_bytes_offered += arrivals
-        if self._queue:
-            # Bytes ahead of the real head are servable; new arrivals
-            # queue behind every real packet already present.
-            servable = self._marks[0] - (self._bg_pos - self._v)
-            if servable > self._v:
-                servable = self._v
-            served = servable if servable < service else service
-            if served > 0.0:
-                self._v -= served
-                self.bg_bytes_served += served
-            headroom = self.capacity_bytes - self._bytes - self._v
-            admitted = arrivals if arrivals < headroom else max(headroom, 0.0)
-            self._v += admitted
-            self._bg_pos += admitted
-            dropped = arrivals - admitted
-        else:
-            served = self._v if self._v < service else service
-            if served > 0.0:
-                self._v -= served
-                self.bg_bytes_served += served
-                service -= served
-            direct = arrivals if arrivals < service else service
-            remaining = arrivals - direct
-            headroom = self.capacity_bytes - self._v
-            admitted = remaining if remaining < headroom else max(headroom, 0.0)
-            self._v += admitted
-            self._bg_pos += direct + admitted
-            self.bg_bytes_served += direct
-            dropped = remaining - admitted
-        if dropped > 0.0:
-            self.bg_bytes_dropped += dropped
-            if _obs.ENABLED:
-                _obs.SINK.inc("netsim.fluid.virtual_drop_bytes", dropped)
-
-    # -- queue interface ---------------------------------------------
+        self._integrate(arrivals, service, self._bytes, self.capacity_bytes)
 
     def enqueue(self, packet, now):
         self._advance(now)
@@ -266,102 +304,18 @@ class FluidDropTailQueue(DropTailQueue):
         return packet, None
 
 
-class FluidTokenBucketFilter(Qdisc):
-    """A token bucket whose tokens are also depleted by a fluid share.
+class _FluidBucket(_VirtualBacklog):
+    """Slotless mixin: the fluid methods of a token-bucket class shaper.
 
-    Mirrors :class:`~repro.netsim.token_bucket.TokenBucketFilter`'s
-    interface and accounting exactly (drops/enqueued/mean_delay/
-    backlog_bytes, the ``netsim.tbf.*`` counters), but the marked
-    background arrives as a rate process instead of packets: between
-    foreground events, generated tokens first serve the virtual backlog
-    in FIFO order, and foreground drop/wake decisions are computed from
-    the combined real + virtual occupancy.
+    The marked background arrives as a rate process instead of packets:
+    between foreground events, generated tokens first serve the virtual
+    backlog in FIFO order, and foreground drop/wake decisions use the
+    combined real + virtual occupancy.  Accounting (drops, enqueued,
+    mean_delay, backlog_bytes, the ``netsim.tbf.*`` counters) stays the
+    packet bucket's.
     """
 
-    __slots__ = (
-        "rate_bps",
-        "burst_bytes",
-        "limit_bytes",
-        "_queue",
-        "_tokens",
-        "_last_update",
-        "_fluid_rates",
-        "_fluid_rate_Bps",
-        "_v",
-        "_marks",
-        "_bg_pos",
-        "bg_bytes_offered",
-        "bg_bytes_served",
-        "bg_bytes_dropped",
-        "fluid_deferrals",
-    )
-
-    def __init__(self, rate_bps, burst_bytes, limit_bytes):
-        if rate_bps <= 0:
-            raise ValueError("TBF rate must be positive")
-        if burst_bytes <= 0:
-            raise ValueError("TBF burst must be positive")
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self.limit_bytes = max(limit_bytes, 1)
-        self._queue = DropTailQueue(self.limit_bytes)
-        self._tokens = float(burst_bytes)
-        self._last_update = 0.0
-        self._fluid_rates = {}
-        self._fluid_rate_Bps = 0.0
-        self._v = 0.0
-        self._marks = deque()
-        self._bg_pos = 0.0
-        self.bg_bytes_offered = 0.0
-        self.bg_bytes_served = 0.0
-        self.bg_bytes_dropped = 0.0
-        self.fluid_deferrals = 0
-
-    def __len__(self):
-        return len(self._queue)
-
-    @property
-    def drops(self):
-        return self._queue.drops
-
-    @property
-    def drops_bytes(self):
-        return self._queue.drops_bytes
-
-    @property
-    def enqueued(self):
-        return self._queue.enqueued
-
-    @property
-    def mean_delay(self):
-        return self._queue.mean_delay
-
-    @property
-    def backlog_bytes(self):
-        return self._queue.backlog_bytes
-
-    @property
-    def virtual_backlog_bytes(self):
-        return self._v
-
-    def fluid_stats(self):
-        return {
-            "bg_bytes_offered": self.bg_bytes_offered,
-            "bg_bytes_served": self.bg_bytes_served,
-            "bg_bytes_dropped": self.bg_bytes_dropped,
-            "virtual_backlog_bytes": self._v,
-            "fluid_deferrals": self.fluid_deferrals,
-        }
-
-    def set_fluid_rate(self, now, source, bps):
-        """Update one source's marked-share rate entering this bucket."""
-        self._advance(now)
-        previous = self._fluid_rates.get(source, 0.0)
-        if bps != previous:
-            self._fluid_rates[source] = bps
-            self._fluid_rate_Bps += (bps - previous) / 8.0
-            if self._fluid_rate_Bps < 0.0:
-                self._fluid_rate_Bps = 0.0
+    __slots__ = ()
 
     def tokens(self, now):
         """Tokens available at ``now`` after fluid depletion (bytes)."""
@@ -373,76 +327,34 @@ class FluidTokenBucketFilter(Qdisc):
         if dt <= 0.0:
             return
         self._last_update = now
-        generated = (self.rate_bps / 8.0) * dt
         arrivals = self._fluid_rate_Bps * dt
-        if arrivals == 0.0 and self._v <= _EPS_BYTES:
-            tokens = self._tokens + generated
-            self._tokens = tokens if tokens < self.burst_bytes else float(
-                self.burst_bytes
-            )
-            return
         # Token pool for this window: banked tokens plus everything
         # generated during it.  Backlogged background consumes tokens
         # the instant they appear, so the burst cap only applies to
         # whatever is left at the end of the window.
-        pool = self._tokens + generated
-        real_bytes = self._queue.backlog_bytes
-        self.bg_bytes_offered += arrivals
-        if self._queue._queue:
-            servable = self._marks[0] - (self._bg_pos - self._v)
-            if servable > self._v:
-                servable = self._v
-            served = servable if servable < pool else pool
-            if served > 0.0:
-                self._v -= served
-                self.bg_bytes_served += served
-                pool -= served
-            headroom = self.limit_bytes - real_bytes - self._v
-            admitted = arrivals if arrivals < headroom else max(headroom, 0.0)
-            self._v += admitted
-            self._bg_pos += admitted
-            dropped = arrivals - admitted
-        else:
-            served = self._v if self._v < pool else pool
-            if served > 0.0:
-                self._v -= served
-                self.bg_bytes_served += served
-                pool -= served
-            direct = arrivals if arrivals < pool else pool
-            remaining = arrivals - direct
-            headroom = self.limit_bytes - self._v
-            admitted = remaining if remaining < headroom else max(headroom, 0.0)
-            self._v += admitted
-            self._bg_pos += direct + admitted
-            self.bg_bytes_served += direct
-            pool -= direct
-            dropped = remaining - admitted
-        if dropped > 0.0:
-            self.bg_bytes_dropped += dropped
-            if _obs.ENABLED:
-                _obs.SINK.inc("netsim.fluid.virtual_drop_bytes", dropped)
+        pool = self._tokens + (self.rate_bps / 8.0) * dt
+        if arrivals != 0.0 or self._v > _EPS_BYTES:
+            queue = self._queue
+            pool = self._integrate(arrivals, pool, queue._bytes, queue.capacity_bytes)
         self._tokens = pool if pool < self.burst_bytes else float(self.burst_bytes)
 
     def enqueue(self, packet, now):
         self._advance(now)
-        if (
-            self._queue.backlog_bytes + self._v + packet.size
-            > self.limit_bytes
-        ):
+        queue = self._queue
+        if queue._bytes + self._v + packet.size > queue.capacity_bytes:
             # Count through the inner queue so the ``drops`` property
             # and the harvested ``netsim.tbf.drops_total`` stay one
             # accounting path, exactly as in the packet-mode TBF.
-            self._queue.drops += 1
-            self._queue.drops_bytes += packet.size
+            queue.drops += 1
+            queue.drops_bytes += packet.size
             if _obs.ENABLED:
                 _obs.SINK.inc("netsim.queue.drops")
                 _obs.SINK.observe(
-                    "netsim.queue.occupancy_at_drop_bytes",
-                    self._queue.backlog_bytes + self._v,
+                    "netsim.queue.occupancy_at_drop_bytes", queue._bytes + self._v
                 )
                 _obs.SINK.inc("netsim.tbf.drops")
             return False
-        accepted = self._queue.enqueue(packet, now)
+        accepted = queue.enqueue(packet, now)
         if accepted:
             self._marks.append(self._bg_pos)
         return accepted
@@ -468,7 +380,7 @@ class FluidTokenBucketFilter(Qdisc):
             _obs.SINK.observe("netsim.tbf.token_debt_bytes", ahead + size - tokens)
             _obs.SINK.observe(
                 "netsim.tbf.occupancy_at_deferral_bytes",
-                self._queue.backlog_bytes + self._v,
+                self._queue._bytes + self._v,
             )
         # The head waits for the background ahead of it plus its own
         # tokens; later background arrivals queue behind it, so the
@@ -477,52 +389,23 @@ class FluidTokenBucketFilter(Qdisc):
         return None, now + need * 8.0 / self.rate_bps + _WAKE_GUARD
 
 
-class FluidDualClassQdisc(DualClassQdisc):
-    """Classifier + fluid FIFO + fluid TBF + round-robin scheduler.
+class FluidTokenBucketFilter(_FluidBucket, TokenBucketFilter):
+    """:class:`~repro.netsim.token_bucket.TokenBucketFilter` whose tokens
+    are also depleted by the marked (dscp=1) fluid share."""
 
-    The marked fluid share competes inside the token bucket; the
-    unmarked share competes for the FIFO class's serialization.  The
-    round-robin scheduler itself is unchanged -- both classes already
-    speak the ``(packet | None, wake | None)`` dequeue protocol.
-    """
-
-    __slots__ = ()
-
-    def set_service_rate(self, bps):
-        self.fifo.set_service_rate(bps)
-
-    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
-        self.tbf.set_fluid_rate(now, source, marked_bps)
-        self.fifo.set_source_rate(now, source, 0.0, unmarked_bps)
-
-    def fluid_stats(self):
-        return _merge_stats(self.tbf.fluid_stats(), self.fifo.fluid_stats())
+    __slots__ = _BACKLOG_SLOTS
 
 
-class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
-    """Fluid twin of :class:`~repro.netsim.shapers.DualTokenBucketFilter`.
+class FluidDualTokenBucketFilter(_FluidBucket, DualTokenBucketFilter):
+    """Fluid :class:`~repro.netsim.shapers.DualTokenBucketFilter`.
 
-    A second (peak-rate) bucket gates both the foreground packets and
-    the fluid background: the window's service pool exposed to the base
+    The peak-rate bucket gates both the foreground packets and the
+    fluid background: the window's service pool exposed to the base
     integration is the *minimum* of the committed and peak pools, and
     both buckets are settled from the bytes actually served.
     """
 
-    __slots__ = ("peak_rate_bps", "peak_burst_bytes", "_peak_tokens", "peak_deferrals")
-
-    def __init__(self, rate_bps, burst_bytes, limit_bytes, peak_rate_bps, peak_burst_bytes):
-        super().__init__(rate_bps, burst_bytes, limit_bytes)
-        if peak_rate_bps <= rate_bps:
-            raise ValueError("peak rate must exceed the committed rate")
-        if peak_burst_bytes <= 0:
-            raise ValueError("peak burst must be positive")
-        self.peak_rate_bps = peak_rate_bps
-        self.peak_burst_bytes = peak_burst_bytes
-        self._peak_tokens = float(peak_burst_bytes)
-        self.peak_deferrals = 0
-
-    def shaper_stats(self):
-        return {"tbf.peak_deferrals_total": self.peak_deferrals}
+    __slots__ = _BACKLOG_SLOTS
 
     def _advance(self, now):
         dt = now - self._last_update
@@ -575,7 +458,7 @@ class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
             )
             _obs.SINK.observe(
                 "netsim.tbf.occupancy_at_deferral_bytes",
-                self._queue.backlog_bytes + self._v,
+                self._queue._bytes + self._v,
             )
         need_c = ahead + size - tokens
         wait_c = need_c * 8.0 / self.rate_bps if need_c > 0.0 else 0.0
@@ -584,52 +467,22 @@ class FluidDualTokenBucketFilter(FluidTokenBucketFilter):
         return None, now + max(wait_c, wait_p) + _WAKE_GUARD
 
 
-class FluidConditionalTokenBucket(FluidTokenBucketFilter):
-    """Fluid twin of :class:`~repro.netsim.shapers.ConditionalTokenBucket`.
+class FluidConditionalTokenBucket(_FluidBucket, ConditionalTokenBucket):
+    """Fluid :class:`~repro.netsim.shapers.ConditionalTokenBucket`.
 
     Pre-trigger, the class is unthrottled: fluid background drains
     completely each window (link serialization is the outer FIFO's job)
     and real packets pass straight through; marked bytes -- fluid and
     packet alike -- count toward the byte trigger.  On tripping, the
-    bucket starts full and the base fluid TBF takes over.
+    bucket starts full and the fluid TBF takes over.
     """
 
-    __slots__ = (
-        "trigger_bytes",
-        "trigger_after_s",
-        "seen_bytes",
-        "tripped",
-        "tripped_at",
-    )
-
-    def __init__(
-        self,
-        rate_bps,
-        burst_bytes,
-        limit_bytes,
-        trigger_bytes=None,
-        trigger_after_s=None,
-    ):
-        super().__init__(rate_bps, burst_bytes, limit_bytes)
-        if trigger_bytes is None and trigger_after_s is None:
-            raise ValueError(
-                "conditional shaper needs trigger_bytes and/or trigger_after_s"
-            )
-        self.trigger_bytes = trigger_bytes
-        self.trigger_after_s = trigger_after_s
-        self.seen_bytes = 0.0
-        self.tripped = False
-        self.tripped_at = None
-        if trigger_bytes is not None and trigger_bytes <= 0:
-            self._trip(0.0)
-
-    def shaper_stats(self):
-        return {
-            "conditional.trips_total": 1 if self.tripped else 0,
-            "conditional.trigger_seen_bytes": self.seen_bytes,
-        }
+    __slots__ = _BACKLOG_SLOTS
 
     def _trip(self, now):
+        # Unlike the packet bucket, leave ``_last_update`` alone: the
+        # fluid window up to ``now`` is integrated against the full
+        # bucket instead of being skipped.
         self.tripped = True
         self.tripped_at = now
         self._tokens = float(self.burst_bytes)
@@ -637,9 +490,7 @@ class FluidConditionalTokenBucket(FluidTokenBucketFilter):
             _obs.SINK.inc("netsim.conditional.trips")
 
     def _advance(self, now):
-        if not self.tripped:
-            if self.trigger_after_s is not None and now >= self.trigger_after_s:
-                self._trip(now)
+        self._maybe_trip_time(now)
         if self.tripped:
             super()._advance(now)
             return
@@ -679,27 +530,42 @@ class FluidConditionalTokenBucket(FluidTokenBucketFilter):
         return self._queue.dequeue(now)
 
 
-class FluidPerFlowQdisc(Qdisc):
-    """Per-flow limiter with a virtual background load term (Section 7).
+class FluidDualClassQdisc(DualClassQdisc):
+    """Classifier + fluid FIFO + fluid class shaper + round-robin scheduler.
+
+    The marked fluid share competes inside the token bucket; the
+    unmarked share competes for the FIFO class's serialization.  The
+    round-robin scheduler itself is unchanged -- both classes already
+    speak the ``(packet | None, wake | None)`` dequeue protocol.
+    """
+
+    __slots__ = ()
+
+    def set_service_rate(self, bps):
+        self.fifo.set_service_rate(bps)
+
+    def set_source_rate(self, now, source, marked_bps, unmarked_bps, n_flows=1):
+        self.tbf.set_fluid_rate(now, source, marked_bps)
+        self.fifo.set_fluid_rate(now, source, unmarked_bps)
+
+    def fluid_stats(self):
+        return _merge_stats(self.tbf.fluid_stats(), self.fifo.fluid_stats())
+
+
+class FluidPerFlowQdisc(PerFlowQdisc):
+    """:class:`~repro.netsim.per_flow.PerFlowQdisc` with a virtual
+    background load term (Section 7).
 
     Marked background traverses its *own* per-flow buckets, never the
     foreground's, so its only effect on the foreground is link
     serialization of whatever the per-flow policers admit.  The
     admitted marked rate is ``min(rate, n_flows x per-flow rate)``
     (the UDP aggregate is a single flow id -- one bucket); the policed
-    excess is booked as virtual drops.  Foreground packets still get
-    real per-flow token buckets, exactly as in packet mode.
+    excess is booked as virtual drops.  Foreground packets keep the
+    packet class's real per-flow token buckets; only the FIFO is fluid.
     """
 
     __slots__ = (
-        "rate_bps",
-        "burst_bytes",
-        "limit_bytes",
-        "flow_key",
-        "fifo",
-        "_flows",
-        "_rr_order",
-        "_rr_index",
         "_policed_rates",
         "_policed_rate_Bps",
         "_last_policed",
@@ -707,50 +573,14 @@ class FluidPerFlowQdisc(Qdisc):
     )
 
     def __init__(
-        self,
-        rate_bps,
-        burst_bytes,
-        limit_bytes,
-        flow_key=None,
-        fifo_capacity=500_000,
+        self, rate_bps, burst_bytes, limit_bytes, flow_key=None, fifo_capacity=500_000
     ):
-        if rate_bps <= 0:
-            raise ValueError("per-flow rate must be positive")
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self.limit_bytes = limit_bytes
-        self.flow_key = flow_key if flow_key is not None else _flow_id_key
+        super().__init__(rate_bps, burst_bytes, limit_bytes, flow_key, fifo_capacity)
         self.fifo = FluidDropTailQueue(fifo_capacity)
-        self._flows = {}
-        self._rr_order = []
-        self._rr_index = 0
         self._policed_rates = {}
         self._policed_rate_Bps = 0.0
         self._last_policed = 0.0
         self.bg_bytes_policed = 0.0
-
-    def __len__(self):
-        return len(self.fifo) + sum(len(tbf) for tbf in self._flows.values())
-
-    @property
-    def drops(self):
-        return self.fifo.drops + sum(tbf.drops for tbf in self._flows.values())
-
-    @property
-    def drops_bytes(self):
-        return self.fifo.drops_bytes + sum(
-            tbf.drops_bytes for tbf in self._flows.values()
-        )
-
-    @property
-    def backlog_bytes(self):
-        return self.fifo.backlog_bytes + sum(
-            tbf.backlog_bytes for tbf in self._flows.values()
-        )
-
-    @property
-    def n_flows(self):
-        return len(self._flows)
 
     def set_service_rate(self, bps):
         self.fifo.set_service_rate(bps)
@@ -766,7 +596,7 @@ class FluidPerFlowQdisc(Qdisc):
             self._policed_rate_Bps += (policed - previous) / 8.0
             if self._policed_rate_Bps < 0.0:
                 self._policed_rate_Bps = 0.0
-        self.fifo.set_source_rate(now, source, admitted, unmarked_bps)
+        self.fifo.set_fluid_rate(now, source, admitted + unmarked_bps)
 
     def _settle_policed(self, now):
         dt = now - self._last_policed
@@ -786,41 +616,6 @@ class FluidPerFlowQdisc(Qdisc):
         stats["bg_bytes_dropped"] += self.bg_bytes_policed
         return stats
 
-    def _bucket_for(self, key):
-        bucket = self._flows.get(key)
-        if bucket is None:
-            from repro.netsim.token_bucket import TokenBucketFilter
-
-            bucket = TokenBucketFilter(
-                self.rate_bps, self.burst_bytes, self.limit_bytes
-            )
-            self._flows[key] = bucket
-            self._rr_order.append(key)
-        return bucket
-
-    def enqueue(self, packet, now):
-        if packet.dscp != 1:
-            return self.fifo.enqueue(packet, now)
-        return self._bucket_for(self.flow_key(packet)).enqueue(packet, now)
-
-    def dequeue(self, now):
-        queues = [self.fifo] + [self._flows[k] for k in self._rr_order]
-        n = len(queues)
-        earliest_wake = None
-        for offset in range(n):
-            queue = queues[(self._rr_index + offset) % n]
-            packet, wake = queue.dequeue(now)
-            if packet is not None:
-                self._rr_index = (self._rr_index + offset + 1) % n
-                return packet, None
-            if wake is not None and (earliest_wake is None or wake < earliest_wake):
-                earliest_wake = wake
-        return None, earliest_wake
-
-
-def _flow_id_key(packet):
-    return packet.flow_id
-
 
 def _merge_stats(*parts):
     merged = {
@@ -839,12 +634,10 @@ def _merge_stats(*parts):
 def _build_fluid_tbf_device(
     rate_bps, rtt_s=0.035, queue_factor=0.5, fifo_capacity=500_000
 ):
-    """Fluid twin of the ``"tbf"`` device (same sizing rules)."""
+    """Hybrid ``"tbf"`` device (the packet device's sizing)."""
     burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    tbf = FluidTokenBucketFilter(rate_bps, burst, limit)
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
+    bucket = FluidTokenBucketFilter(rate_bps, burst, limit)
+    return FluidDualClassQdisc(bucket, FluidDropTailQueue(fifo_capacity))
 
 
 def _build_fluid_perflow_device(
@@ -856,10 +649,8 @@ def _build_fluid_perflow_device(
     seed=0,
     **params,
 ):
-    """Fluid twin of the ``"perflow"`` device (tbf buckets only)."""
+    """Hybrid ``"perflow"`` device (tbf buckets only)."""
     if shaper != "tbf" or params:
-        from repro.netsim.qdisc import QdiscFidelityError
-
         raise QdiscFidelityError(
             "fluid per-flow supports only default tbf buckets; "
             f"shaper={shaper!r} has no fluid per-flow twin"
@@ -876,15 +667,10 @@ def _build_fluid_dual_tbf_device(
     peak_factor=2.0,
     boost_bytes=1_500_000,
 ):
-    """Fluid twin of the ``"dual_tbf"`` device (same sizing as shapers.py)."""
-    burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    peak_rate = peak_factor * rate_bps
-    peak_burst = max(int(peak_rate * rtt_s / 8.0), 3000)
-    cir_burst = max(int(boost_bytes), burst)
-    tbf = FluidDualTokenBucketFilter(rate_bps, cir_burst, limit, peak_rate, peak_burst)
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
+    """Hybrid ``"dual_tbf"`` device (the packet device's sizing)."""
+    sizing = dual_tbf_sizing(rate_bps, rtt_s, queue_factor, peak_factor, boost_bytes)
+    bucket = FluidDualTokenBucketFilter(rate_bps, *sizing)
+    return FluidDualClassQdisc(bucket, FluidDropTailQueue(fifo_capacity))
 
 
 def _build_fluid_conditional_device(
@@ -895,15 +681,13 @@ def _build_fluid_conditional_device(
     trigger_bytes=4_000_000.0,
     trigger_after_s=None,
 ):
-    """Fluid twin of the ``"conditional"`` device (same sizing as shapers.py)."""
+    """Hybrid ``"conditional"`` device (the packet device's sizing)."""
     burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
-    tbf = FluidConditionalTokenBucket(
+    bucket = FluidConditionalTokenBucket(
         rate_bps, burst, limit,
         trigger_bytes=trigger_bytes, trigger_after_s=trigger_after_s,
     )
-    return FluidDualClassQdisc(
-        tbf, FluidDropTailQueue(fifo_capacity), _dscp_classifier
-    )
+    return FluidDualClassQdisc(bucket, FluidDropTailQueue(fifo_capacity))
 
 
 # Attach the fluid halves to the mechanisms registered elsewhere.  The
@@ -916,36 +700,6 @@ register("tbf", fluid=_build_fluid_tbf_device)
 register("perflow", fluid=_build_fluid_perflow_device)
 register("dual_tbf", fluid=_build_fluid_dual_tbf_device)
 register("conditional", fluid=_build_fluid_conditional_device)
-
-
-def make_fluid_rate_limiter(
-    rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Deprecated alias for ``make_qdisc("tbf", fidelity="hybrid", ...)``."""
-    import warnings
-
-    warnings.warn(
-        "make_fluid_rate_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('tbf', fidelity='hybrid', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_fluid_tbf_device(rate_bps, rtt_s, queue_factor, fifo_capacity)
-
-
-def make_fluid_per_flow_limiter(
-    rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000
-):
-    """Deprecated alias for ``make_qdisc("perflow", fidelity="hybrid", ...)``."""
-    import warnings
-
-    warnings.warn(
-        "make_fluid_per_flow_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('perflow', fidelity='hybrid', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_fluid_perflow_device(rate_bps, rtt_s, queue_factor, fifo_capacity)
 
 
 # -- fluid background sources ---------------------------------------

@@ -14,8 +14,6 @@ and round-robin service across all queues.  The flow key defaults to
 because two replays that share a flow id share a bucket.
 """
 
-import warnings
-
 from repro.netsim.qdisc import Qdisc, register, standard_sizing
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.token_bucket import TokenBucketFilter
@@ -164,13 +162,3 @@ register(
     doc="per-flow buckets for dscp=1 traffic (Section-7 limitation device)",
 )
 
-
-def make_per_flow_limiter(rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000):
-    """Deprecated alias for ``make_qdisc("perflow", ...)``."""
-    warnings.warn(
-        "make_per_flow_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('perflow', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_perflow_device(rate_bps, rtt_s, queue_factor, fifo_capacity)

@@ -12,10 +12,11 @@ contract, consumed by :class:`~repro.netsim.link.Link`:
 - ``backlog_bytes`` -- bytes currently queued.
 
 plus the statistics the experiment harness reads (``drops``,
-``drops_bytes``, ``enqueued``, ``mean_delay``).  Disciplines that
-support the hybrid fluid fidelity additionally expose
-``set_service_rate`` / ``set_source_rate`` / ``fluid_stats`` (see
-:mod:`repro.netsim.fluid`).
+``drops_bytes``, ``enqueued``, ``mean_delay``).  There is one family
+of disciplines: each hybrid-fidelity discipline in
+:mod:`repro.netsim.fluid` is a subclass of its packet discipline plus
+a slotless virtual-backlog mixin, and additionally exposes
+``set_service_rate`` / ``set_source_rate`` / ``fluid_stats``.
 
 This module makes the contract explicit (:class:`Qdisc`) and provides a
 seeded registry so topologies, scenario configs, and the CLI can name a
@@ -24,7 +25,8 @@ shaper mechanism (``"tbf"``, ``"red"``, ``"codel"``, ``"pie"``,
 concrete classes.  Mechanisms are *orthogonal* to placement: a
 :class:`~repro.experiments.scenarios.ScenarioConfig` picks where the
 limiter sits (``limiter``) and separately what device it is
-(``shaper``).
+(``shaper``); :func:`check_deployment` is the one rule for which
+combinations exist at which fidelity.
 
 Registered device factories share a keyword vocabulary: rate-limiting
 mechanisms take ``rate_bps``, ``rtt_s``, ``queue_factor`` and
@@ -155,6 +157,33 @@ def supports_fidelity(name, fidelity):
     if fidelity == "hybrid":
         return spec.fluid is not None
     raise ValueError(f"unknown fidelity {fidelity!r}")
+
+
+def check_deployment(shaper, limiter, fidelity):
+    """Raise ValueError unless ``shaper`` can sit at ``limiter`` at ``fidelity``.
+
+    The one placement x mechanism x fidelity rule, shared by the
+    scenario and topology configs so a bad combination fails when the
+    config is built instead of inside a sweep worker.  Per-flow
+    placement needs the mechanism's bare class-shaper half, and its
+    hybrid twin has default tbf buckets only; elsewhere the mechanism
+    needs a device at the requested fidelity (the AQMs are
+    packet-only).  Fidelity mismatches raise
+    :class:`QdiscFidelityError`.
+    """
+    spec = qdisc_spec(shaper)  # raises on unknown mechanisms
+    if limiter is None:
+        raise ValueError("shaper requires a limiter placement")
+    if limiter == "perflow":
+        if spec.shaper is None:
+            raise ValueError(f"shaper {shaper!r} cannot be used per-flow")
+        if fidelity == "hybrid" and shaper != "tbf":
+            raise QdiscFidelityError(f"fluid per-flow has no {shaper!r} twin")
+    elif not supports_fidelity(shaper, fidelity):
+        raise QdiscFidelityError(
+            f"shaper {shaper!r} has no {fidelity} implementation "
+            "(AQMs are packet-only)"
+        )
 
 
 def make_qdisc(name, fidelity="packet", **params):

@@ -620,12 +620,22 @@ def _build_dual_tbf_device(
     peak_factor=2.0,
     boost_bytes=1_500_000,
 ):
+    sizing = dual_tbf_sizing(rate_bps, rtt_s, queue_factor, peak_factor, boost_bytes)
+    shaper = DualTokenBucketFilter(rate_bps, *sizing)
+    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+
+
+def dual_tbf_sizing(rate_bps, rtt_s, queue_factor, peak_factor, boost_bytes):
+    """``(burst, limit, peak_rate, peak_burst)`` of the ``"dual_tbf"`` bucket.
+
+    The committed burst is the boost allowance (at least the standard
+    ``rate x RTT`` burst); the peak bucket holds one RTT at the peak
+    rate.  Shared by the packet and hybrid devices.
+    """
     burst, limit = standard_sizing(rate_bps, rtt_s, queue_factor)
     peak_rate = peak_factor * rate_bps
     peak_burst = max(int(peak_rate * rtt_s / 8.0), 3000)
-    cir_burst = max(int(boost_bytes), burst)
-    shaper = DualTokenBucketFilter(rate_bps, cir_burst, limit, peak_rate, peak_burst)
-    return DualClassQdisc(shaper, DropTailQueue(fifo_capacity))
+    return max(int(boost_bytes), burst), limit, peak_rate, peak_burst
 
 
 def _build_conditional_device(

@@ -15,8 +15,6 @@ whether the device behaves as a policer (small limit, drops) or a shaper
 (large limit, delays).
 """
 
-import warnings
-
 from repro.netsim.qdisc import Qdisc, register, standard_sizing
 from repro.netsim.queues import DropTailQueue
 from repro.obs import metrics as _obs
@@ -199,13 +197,3 @@ register(
     doc="single-rate token-bucket policer/shaper (Appendix C.1 device)",
 )
 
-
-def make_rate_limiter(rate_bps, rtt_s, queue_factor=0.5, fifo_capacity=500_000):
-    """Deprecated alias for ``make_qdisc("tbf", ...)``."""
-    warnings.warn(
-        "make_rate_limiter is deprecated; use "
-        "repro.netsim.qdisc.make_qdisc('tbf', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_tbf_device(rate_bps, rtt_s, queue_factor, fifo_capacity)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.netsim.link import Link
 from repro.netsim.multipath import MultipathLink, shaped_member_subset
 from repro.netsim.path import DirectPath, Path
-from repro.netsim.qdisc import make_qdisc, qdisc_spec, supports_fidelity
+from repro.netsim.qdisc import check_deployment, make_qdisc, qdisc_spec
 
 
 @dataclass
@@ -82,25 +82,7 @@ class TopologyConfig:
             if rtt <= 2 * self.common_delay_s:
                 raise ValueError(f"{name}={rtt} too small for common delay")
         if self.shaper is not None:
-            qdisc_spec(self.shaper)  # raises on unknown mechanisms
-            if self.limiter is None:
-                raise ValueError("shaper requires a limiter placement")
-            if self.limiter == "perflow":
-                # Composition check: the per-flow device needs the bare
-                # class-shaper half of the mechanism.
-                if qdisc_spec(self.shaper).shaper is None:
-                    raise ValueError(
-                        f"shaper {self.shaper!r} cannot be used per-flow"
-                    )
-                if self.fidelity == "hybrid" and self.shaper != "tbf":
-                    raise ValueError(
-                        f"fluid per-flow has no {self.shaper!r} twin"
-                    )
-            elif not supports_fidelity(self.shaper, self.fidelity):
-                raise ValueError(
-                    f"shaper {self.shaper!r} has no {self.fidelity} "
-                    "implementation (AQMs are packet-only)"
-                )
+            check_deployment(self.shaper, self.limiter, self.fidelity)
         if self.shaper_params and self.shaper is None:
             raise ValueError("shaper_params requires a shaper")
         if self.multipath_members < 0:

@@ -17,17 +17,9 @@ Usage::
     from repro.parallel import SweepExecutor
 
     results = SweepExecutor(jobs=4).map(task, items)
-
-The module-level ``run_detection_sweep``/``run_wild_sweep`` entry
-points are deprecated shims over :func:`repro.api.run_sweep`.
 """
 
-from repro.parallel.executor import (
-    SweepExecutor,
-    default_jobs,
-    run_detection_sweep,
-    run_wild_sweep,
-)
+from repro.parallel.executor import SweepExecutor, default_jobs
 from repro.parallel.supervisor import (
     CellFailure,
     SweepCellError,
@@ -40,6 +32,4 @@ __all__ = [
     "SweepExecutor",
     "SweepInterrupted",
     "default_jobs",
-    "run_detection_sweep",
-    "run_wild_sweep",
 ]

@@ -24,7 +24,6 @@ import logging
 import multiprocessing
 import os
 import pickle
-import warnings
 from dataclasses import replace
 
 from repro.experiments.runner import run_detection_experiment
@@ -311,8 +310,13 @@ def _detection_sweep(
     ``(records, hits, misses, failures, interrupted)``.
 
     This is the engine behind :func:`repro.api.run_sweep`; call that
-    instead.  Semantics are documented on the legacy
-    :func:`run_detection_sweep` wrapper and in :mod:`repro.api`.
+    instead.  Records come back one per config, in config order,
+    identical for any ``jobs`` value; ``fault_profile`` is applied per
+    cell, seeded from each cell's own ``config.seed``.  With a
+    ``store``, cached cells are returned without simulating and every
+    fresh cell is checkpointed as it completes, so a killed sweep
+    re-run with the same store computes only the missing cells;
+    ``no_cache`` skips the read side but still checkpoints.
     """
     configs = list(configs)
     task = functools.partial(
@@ -363,60 +367,6 @@ def _detection_sweep(
         no_cache=no_cache,
         on_result=on_result,
     )
-
-
-def run_detection_sweep(
-    configs,
-    jobs=None,
-    detectors=None,
-    modified=True,
-    entropy=0,
-    merge_flows=False,
-    fault_profile=None,
-    store=None,
-    no_cache=False,
-):
-    """Run :func:`run_detection_experiment` over every config.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.run_sweep` with
-        :meth:`repro.api.SweepRequest.detection` instead; it returns the
-        same records plus cache accounting and optional metrics.
-
-    Returns one :class:`~repro.experiments.runner.DetectionExperimentRecord`
-    per config, in config order, identical for any ``jobs`` value.
-    ``fault_profile`` is applied per cell, seeded from each cell's own
-    ``config.seed``.
-
-    ``store`` (a :class:`~repro.store.ExperimentStore`) makes the sweep
-    resumable: cached cells are returned without simulating (records
-    byte-identical to a cold run), and every freshly computed cell is
-    checkpointed as it completes, so a killed sweep re-run with the
-    same store computes only the missing cells.  ``no_cache`` skips the
-    read side (every cell recomputes and overwrites) while still
-    checkpointing.
-    """
-    warnings.warn(
-        "run_detection_sweep is deprecated; use "
-        "repro.api.run_sweep(SweepRequest.detection(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_sweep(
-        api.SweepRequest.detection(
-            configs,
-            detectors=detectors,
-            modified=modified,
-            entropy=entropy,
-            merge_flows=merge_flows,
-            fault_profile=fault_profile,
-            jobs=jobs,
-            store=store,
-            no_cache=no_cache,
-        )
-    ).results
 
 
 def _wild_cell(cell, sanity_check, fidelity="packet"):
@@ -494,40 +444,3 @@ def _wild_sweep(
         no_cache=no_cache,
         on_result=on_result,
     )
-
-
-def run_wild_sweep(
-    isp_names, apps, seeds, jobs=None, sanity_check=False, store=None, no_cache=False
-):
-    """Section-5 wild tests over ISPs x apps x seeds, fanned out.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.run_sweep` with
-        :meth:`repro.api.SweepRequest.wild` instead.
-
-    Returns one summary dict per (isp, app, seed) cell in grid order
-    (isp-major).  Full localization reports hold numpy arrays and
-    simulator-adjacent objects; the summaries keep the cross-process
-    payload small and stable.  ``store``/``no_cache`` behave as in
-    :func:`run_detection_sweep` (the summaries are cached under
-    ``kind="wild"`` keys).
-    """
-    warnings.warn(
-        "run_wild_sweep is deprecated; use "
-        "repro.api.run_sweep(SweepRequest.wild(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.run_sweep(
-        api.SweepRequest.wild(
-            isp_names,
-            apps=apps,
-            seeds=seeds,
-            sanity_check=sanity_check,
-            jobs=jobs,
-            store=store,
-            no_cache=no_cache,
-        )
-    ).results

@@ -12,7 +12,7 @@ build an equivalent corpus two ways:
   carrier) base rates with multiplicative lognormal test-to-test noise
   (the measured quantity the corpus supplies is exactly this
   variation);
-- :func:`repro.experiments.tdiff.simulate_tdiff` -- pairs of actual
+- ``repro.api.run_sweep(SweepRequest.tdiff(...))`` -- pairs of actual
   back-to-back simulator replays, when full fidelity is wanted.
 """
 

@@ -11,6 +11,7 @@ from repro.experiments.scenarios import (
     ScenarioConfig,
     severity_grid,
 )
+from repro.netsim.qdisc import QdiscFidelityError
 
 
 class TestScenarioConfig:
@@ -54,6 +55,28 @@ class TestScenarioConfig:
     def test_rejects_weak_factor_with_limiter(self):
         with pytest.raises(ValueError):
             ScenarioConfig(input_rate_factor=0.9)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(limiter="perflow", shaper="dual_tbf"), "fluid per-flow"),
+            (dict(limiter="common", shaper="red"), "no hybrid implementation"),
+            (dict(limiter="noncommon", shaper="codel"), "no hybrid implementation"),
+        ],
+    )
+    def test_rejects_shaper_without_hybrid_twin(self, kwargs, message):
+        with pytest.raises(QdiscFidelityError, match=message):
+            ScenarioConfig(fidelity="hybrid", **kwargs)
+
+    def test_same_shapers_are_accepted_where_a_twin_exists(self):
+        # The same shapers are fine at packet fidelity.
+        ScenarioConfig(limiter="perflow", shaper="dual_tbf")
+        ScenarioConfig(limiter="common", shaper="red")
+        ScenarioConfig(limiter="perflow", shaper="tbf", fidelity="hybrid")
+
+    def test_rejects_shaper_without_placement(self):
+        with pytest.raises(ValueError, match="limiter placement"):
+            ScenarioConfig(limiter=None, shaper="tbf")
 
     def test_rtt_sweep_matches_paper(self):
         assert RTT2_SWEEP == (0.010, 0.015, 0.025, 0.035, 0.060, 0.120)

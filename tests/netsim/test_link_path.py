@@ -6,6 +6,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import DATA, Packet
 from repro.netsim.path import DirectPath, Path
+from repro.netsim.per_flow import PerFlowQdisc
 from repro.netsim.queues import DropTailQueue
 
 
@@ -79,6 +80,39 @@ class TestLink:
             Link(sim, "l", 0, 0.0)
         with pytest.raises(ValueError):
             Link(sim, "l", 1e6, -1.0)
+
+
+class TestWakeUps:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Link._schedule_wake keeps the first pending wake even when "
+        "a later dequeue reports an earlier one",
+    )
+    def test_earlier_wake_replaces_a_later_pending_one(self):
+        # Flow B empties its bucket at t=0; flow A arrives at t=0.006
+        # with a full bucket, sends two packets and defers its third
+        # until ~0.018 s, which schedules the link's wake-up.  B's third
+        # packet arrives at t=0.007 and has its tokens at ~0.012 s, so
+        # it should leave then -- not behind A's wake.
+        sim = Simulator()
+        link = Link(sim, "l", 100e6, 0.0, PerFlowQdisc(1e6, 3000, 100_000))
+        sink = Sink(sim)
+        path = Path([link], sink)
+
+        def send(flow, seq):
+            path.inject(Packet(flow, DATA, seq, 1500, dscp=1))
+
+        for seq in range(2):
+            sim.schedule_at(0.0, send, "B", seq)
+        for seq in range(3):
+            sim.schedule_at(0.006, send, "A", seq)
+        sim.schedule_at(0.007, send, "B", 2)
+        sim.run()
+        (left_at,) = [
+            when for when, p in sink.arrivals if (p.flow_id, p.seq) == ("B", 2)
+        ]
+        # Tokens at 0.012 s plus 0.12 ms of serialization.
+        assert left_at == pytest.approx(0.01212, abs=1e-6)
 
 
 class TestPath:

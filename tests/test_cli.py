@@ -121,6 +121,17 @@ class TestShaperArguments:
         assert code == 2
         assert "unknown qdisc" in capsys.readouterr().err
 
+    def test_shaper_without_hybrid_twin_is_a_usage_error(self, capsys):
+        code = main(
+            ["sweep", "--app", "zoom", "--limiter", "common", "--seeds", "5",
+             "--duration", "2", "--fidelity", "hybrid", "--shaper", "red"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "has no hybrid implementation" in captured.err
+        assert "quarantined" not in captured.err
+        assert captured.out == ""
+
     def test_sweep_with_shaper_runs(self, capsys):
         code = main(
             ["sweep", "--app", "zoom", "--limiter", "common", "--seeds", "1",
