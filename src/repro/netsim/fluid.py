@@ -390,8 +390,10 @@ class _FluidBucket(_VirtualBacklog):
 
 
 class FluidTokenBucketFilter(_FluidBucket, TokenBucketFilter):
-    """:class:`~repro.netsim.token_bucket.TokenBucketFilter` whose tokens
-    are also depleted by the marked (dscp=1) fluid share."""
+    """Fluid :class:`~repro.netsim.token_bucket.TokenBucketFilter`.
+
+    Its tokens are also depleted by the marked (dscp=1) fluid share.
+    """
 
     __slots__ = _BACKLOG_SLOTS
 
@@ -553,8 +555,7 @@ class FluidDualClassQdisc(DualClassQdisc):
 
 
 class FluidPerFlowQdisc(PerFlowQdisc):
-    """:class:`~repro.netsim.per_flow.PerFlowQdisc` with a virtual
-    background load term (Section 7).
+    """Fluid :class:`~repro.netsim.per_flow.PerFlowQdisc` (Section 7).
 
     Marked background traverses its *own* per-flow buckets, never the
     foreground's, so its only effect on the foreground is link
